@@ -8,7 +8,6 @@ package lll_test
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 
 	lll "repro"
@@ -115,12 +114,10 @@ func BenchmarkT11_LowerBoundCertificates(b *testing.B) {
 	})
 }
 
-// Engine benchmarks: the sharded worker-pool round loop vs the original
-// goroutine-per-node simulation, at simulator scale (n = 100k nodes). Run
-// with `-cpu 1,2,4` to see the scaling: the pool picks up GOMAXPROCS
-// workers per -cpu setting. Metrics: rounds/sec and allocs/round (the pool
-// reuses its buffers across rounds; the per-node variant pays one goroutine
-// plus a flag slice per round).
+// Engine benchmarks: the sharded worker-pool round loop at simulator scale
+// (n = 100k nodes). Run with `-cpu 1,2,4` to see the scaling: the pool
+// picks up GOMAXPROCS workers per -cpu setting. Metrics: rounds/sec and
+// allocs/round (the pool reuses its buffers across rounds).
 
 // engineBenchRounds is the number of synchronous rounds simulated per
 // benchmark iteration.
@@ -159,30 +156,6 @@ func BenchmarkEngineRounds(b *testing.B) {
 						benchComputePhase(v, round, out)
 					}
 				})
-			}
-		}
-		b.StopTimer()
-		runtime.ReadMemStats(&m1)
-		reportRoundMetrics(b, b.N*engineBenchRounds, &m0, &m1)
-	})
-	b.Run("goroutine-per-node", func(b *testing.B) {
-		// The seed simulator's compute phase: one fresh goroutine per node
-		// per round, joined by a WaitGroup barrier.
-		out := make([]uint64, n)
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for round := 1; round <= engineBenchRounds; round++ {
-				var wg sync.WaitGroup
-				for v := 0; v < n; v++ {
-					wg.Add(1)
-					go func(v int) {
-						defer wg.Done()
-						benchComputePhase(v, round, out)
-					}(v)
-				}
-				wg.Wait()
 			}
 		}
 		b.StopTimer()

@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	benchgate -baseline BENCH_pr5.json -current BENCH_pr6.json
+//	benchgate -baseline BENCH_pr6.json -current BENCH_pr8.json
 package main
 
 import (

@@ -1,17 +1,4 @@
-// Package batch packs many small LLL instances into one engine run and
-// canonicalizes instances for result caching.
-//
-// The serving path (internal/service) runs every job as its own sequence of
-// engine dispatches, so small instances pay a full pool round-trip per scan
-// round. Pack concatenates the event spaces of disjoint instances into one
-// global index range; the packed runners then cover the union with a single
-// sharded scan per round (engine.ForEachSegments), amortizing dispatch
-// across the whole batch while each instance keeps its own assignment, its
-// own RNG stream and its own round/resampling budget. The per-instance
-// results are bit-for-bit identical to solo runs with the same seed — the
-// packed scan is read-only and index-addressed, and every random draw
-// happens on the instance's private generator in the solo order — which the
-// equivalence tests in this package lock in.
+// Package batch canonicalizes instances for result caching.
 //
 // Hash computes a canonical, isomorphism-stable fingerprint of an instance
 // (Weisfeiler-Leman color refinement over the dependency graph, seeded with

@@ -109,16 +109,9 @@ func (c *Compiled) NumVars() int { return c.numVars }
 // NumEvents returns the number of events.
 func (c *Compiled) NumEvents() int { return c.numEvents }
 
-// MaxScope returns the largest event scope size.
-func (c *Compiled) MaxScope() int { return c.maxScope }
-
-// HasGeneric reports whether any event lacks a compiled closed form and is
-// evaluated through the instance's own predicate.
-func (c *Compiled) HasGeneric() bool { return c.hasGeneric }
-
-// EventWords returns the number of 64-bit words of a violated-event bitset
+// eventWords returns the number of 64-bit words of a violated-event bitset
 // (one bit per event).
-func (c *Compiled) EventWords() int { return (c.numEvents + 63) / 64 }
+func (c *Compiled) eventWords() int { return (c.numEvents + 63) / 64 }
 
 // Scope returns a copy of event e's scope, in declaration order.
 func (c *Compiled) Scope(e int) []int {

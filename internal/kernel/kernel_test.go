@@ -189,16 +189,16 @@ func TestCompileCSRMatchesInstance(t *testing.T) {
 					maxScope = len(ev.Scope)
 				}
 			}
-			if c.MaxScope() != maxScope {
-				t.Errorf("MaxScope %d != %d", c.MaxScope(), maxScope)
+			if c.maxScope != maxScope {
+				t.Errorf("maxScope %d != %d", c.maxScope, maxScope)
 			}
 			for v := 0; v < inst.NumVars(); v++ {
 				if got, want := c.VarEvents(v), inst.Var(v).Events; !equalInts(got, want) {
 					t.Errorf("var %d events %v != %v", v, got, want)
 				}
 			}
-			if want := (inst.NumEvents() + 63) / 64; c.EventWords() != want {
-				t.Errorf("EventWords %d != %d", c.EventWords(), want)
+			if want := (inst.NumEvents() + 63) / 64; c.eventWords() != want {
+				t.Errorf("eventWords %d != %d", c.eventWords(), want)
 			}
 		})
 	}
@@ -216,8 +216,8 @@ func TestCompileKinds(t *testing.T) {
 				generic++
 			}
 		}
-		if c.HasGeneric() != (generic > 0) {
-			t.Errorf("%s: HasGeneric %v with %d generic events", ni.name, c.HasGeneric(), generic)
+		if c.hasGeneric != (generic > 0) {
+			t.Errorf("%s: hasGeneric %v with %d generic events", ni.name, c.hasGeneric, generic)
 		}
 		switch ni.name {
 		case "cycle-12", "regular-20", "hyper-18", "conjunction-18":
@@ -311,7 +311,7 @@ func TestHasLowerViolatedNeighbor(t *testing.T) {
 		c := compileFor(t, ni)
 		g := ni.inst.DependencyGraph()
 		r := prng.New(7)
-		bits := make([]uint64, c.EventWords())
+		bits := make([]uint64, c.eventWords())
 		for trial := 0; trial < 4; trial++ {
 			for i := range bits {
 				bits[i] = r.Uint64()

@@ -19,7 +19,7 @@ type Scratch struct {
 
 // NewScratch returns scan scratch sized for c.
 func (c *Compiled) NewScratch() *Scratch {
-	return &Scratch{bits: make([]uint64, c.EventWords()), out: make([]int, 0, 64)}
+	return &Scratch{bits: make([]uint64, c.eventWords()), out: make([]int, 0, 64)}
 }
 
 // Bits exposes the violated bitset of the most recent scan (bit e&63 of
@@ -28,7 +28,7 @@ func (c *Compiled) NewScratch() *Scratch {
 func (s *Scratch) Bits() []uint64 { return s.bits }
 
 // eval evaluates event e under the complete packed assignment a. vals is
-// scratch of at least MaxScope ints for generic events (may be nil when the
+// scratch of at least maxScope ints for generic events (may be nil when the
 // instance has none).
 func (c *Compiled) eval(e int, a *Assignment, vals []int) bool {
 	lo, hi := c.scopeOff[e], c.scopeOff[e+1]
@@ -57,13 +57,14 @@ func (c *Compiled) eval(e int, a *Assignment, vals []int) bool {
 	}
 }
 
-// ScanWords evaluates the events of words [wlo, whi) — event e maps to bit
+// scanWords evaluates the events of words [wlo, whi) — event e maps to bit
 // e&63 of word e>>6 — under the complete packed assignment a, and stores
 // the violated bitmask into bitsOut[wlo:whi]. Every word is written exactly
 // once and nothing else is touched, so disjoint word ranges can be scanned
 // concurrently without synchronization. vals must be scratch of at least
-// MaxScope ints when HasGeneric reports true; it may be nil otherwise.
-func (c *Compiled) ScanWords(a *Assignment, wlo, whi int, bitsOut []uint64, vals []int) {
+// maxScope ints when the instance has generic events; it may be nil
+// otherwise.
+func (c *Compiled) scanWords(a *Assignment, wlo, whi int, bitsOut []uint64, vals []int) {
 	for wi := wlo; wi < whi; wi++ {
 		e0 := wi << 6
 		e1 := e0 + 64
@@ -95,7 +96,7 @@ func (c *Compiled) Violated(a *Assignment, pool *engine.Pool, s *Scratch) ([]int
 		if hasGeneric {
 			vals = make([]int, c.maxScope)
 		}
-		c.ScanWords(a, wlo, whi, s.bits, vals)
+		c.scanWords(a, wlo, whi, s.bits, vals)
 	})
 	s.out = s.out[:0]
 	for wi, w := range s.bits {
@@ -126,7 +127,7 @@ func (c *Compiled) HasLowerViolatedNeighbor(violated []uint64, e int) bool {
 }
 
 // evalModel evaluates event e directly against a model.Assignment (which
-// must be complete); vals is scratch of at least MaxScope ints.
+// must be complete); vals is scratch of at least maxScope ints.
 func (c *Compiled) evalModel(e int, ma *model.Assignment, vals []int) bool {
 	lo, hi := c.scopeOff[e], c.scopeOff[e+1]
 	switch c.kind[e] {

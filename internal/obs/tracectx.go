@@ -10,7 +10,7 @@ import (
 // trace ID minted at admission and a span ID naming the current phase. It
 // travels through context.Context (WithTrace / TraceFrom), so every layer
 // that already receives a context — the scheduler, the retry loop, the
-// batch packer, the LOCAL runtime, the resamplers — can tag its trace
+// batch runner, the LOCAL runtime, the resamplers — can tag its trace
 // events without new plumbing. The zero TraceContext means "untraced" and
 // every consumer treats it as absent.
 //

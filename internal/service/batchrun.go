@@ -3,32 +3,10 @@ package service
 import (
 	"context"
 	"fmt"
-	"runtime"
 
-	"repro/internal/batch"
-	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/model"
 )
-
-// batchAlgorithms that pack into shared engine runs. The LOCAL-model
-// algorithms (dist, mtdist) hold their state per simulated node with
-// identifiers drawn over the whole node range, so packing would change
-// their results; batch jobs run them per instance instead.
-func packable(alg string) bool {
-	switch alg {
-	case AlgMTPar, AlgMTSeq, AlgOneShot, AlgSeq:
-		return true
-	}
-	return false
-}
-
-// groupKey buckets batch instances that can share one packed engine run:
-// same algorithm, same termination budgets.
-type groupKey struct {
-	alg                                string
-	maxRounds, maxResamplings, maxIter int
-}
 
 // batchItem is one batch instance flowing through runBatch.
 type batchItem struct {
@@ -36,19 +14,17 @@ type batchItem struct {
 	spec JobSpec
 	inst *model.Instance
 	key  uint64 // cache key; valid iff cacheable
-	pkey groupKey
 }
 
 // runBatch executes a batch job: every cache-eligible instance is first
-// looked up in the canonical result cache; the misses are deduplicated
-// in-batch by cache key, grouped by algorithm and budget, and each group
-// runs as ONE packed engine run (internal/batch) whose per-instance
-// results are bit-identical to solo jobs with the same spec — so entries
-// written by a batch populate the cache for later solo jobs and vice
-// versa. The LOCAL-model algorithms fall back to per-instance solo runs
-// inside the batch job. Aggregate "round" events stream per packed round
-// and one "instance_end" event per instance, multiplexed by
-// Event.Instance (1-based).
+// looked up in the canonical result cache, the misses are deduplicated
+// in-batch by cache key, and each remaining instance then runs, in batch
+// order, through the same code as a solo job with the same spec (runSolo)
+// — so its result is the solo result, and entries written by a batch serve
+// later solo jobs and vice versa. The event stream is multiplexed by the
+// 1-based Event.Instance: each run's "round" events carry its instance id,
+// and every instance ends with exactly one "instance_end" event, also when
+// the batch is cancelled before the instance ran.
 func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit func(Event)) (*Summary, error) {
 	subs := js.Batch
 	sum := &Summary{
@@ -60,24 +36,13 @@ func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit fu
 		sum.Instances[i] = InstanceSummary{Index: i + 1, Algorithm: subs[i].Algorithm, Seed: subs[i].Seed}
 	}
 
-	// Resolve the engine pool for the packed runs: the job-level Workers
-	// field (clamped by the service cap), defaulting to the shared pool.
-	// Worker count never changes results (engine determinism contract).
-	workers := js.Workers
-	if s.cfg.MaxWorkersPerJob > 0 && (workers == 0 || workers > s.cfg.MaxWorkersPerJob) {
-		workers = s.cfg.MaxWorkersPerJob
-	}
-	pool := engine.Shared()
-	if workers > 0 && workers != runtime.GOMAXPROCS(0) {
-		pool = engine.New(workers)
-		defer pool.Close()
-	}
-
-	finishInstance := func(it *batchItem, isum *Summary, err error) {
-		is := &sum.Instances[it.idx]
+	ended := make([]bool, len(subs))
+	finishInstance := func(idx int, isum *Summary, err error) {
+		ended[idx] = true
+		is := &sum.Instances[idx]
 		if err != nil {
 			is.Err = err.Error()
-			emit(Event{Kind: "instance_end", Instance: it.idx + 1, Err: is.Err})
+			emit(Event{Kind: "instance_end", Instance: idx + 1, Err: is.Err})
 			return
 		}
 		is.Satisfied = isum.Satisfied
@@ -86,7 +51,7 @@ func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit fu
 		is.Resamplings = isum.Resamplings
 		is.VarsFixed = isum.VarsFixed
 		is.CacheHit = isum.CacheHit
-		emit(Event{Kind: "instance_end", Instance: it.idx + 1, CacheHit: isum.CacheHit})
+		emit(Event{Kind: "instance_end", Instance: idx + 1, CacheHit: isum.CacheHit})
 	}
 
 	// Phase 1: serve cache hits, dedupe identical misses, build the
@@ -99,17 +64,17 @@ func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit fu
 	var leaders []*batchItem
 	followers := make(map[uint64][]*batchItem) // cache key → same-key items behind a leader
 	leaderByKey := make(map[uint64]*batchItem)
+	var runErr error
 	for i := range subs {
-		if cerr := ctx.Err(); cerr != nil {
-			return sum, cerr
+		if runErr = ctx.Err(); runErr != nil {
+			break
 		}
 		sub := subs[i]
 		it := &batchItem{idx: i, spec: sub}
-		it.pkey = groupKey{alg: sub.Algorithm, maxRounds: sub.MaxRounds, maxResamplings: sub.MaxResamplings, maxIter: sub.MaxIters}
 		if s.cacheable(sub) {
 			key, inst, err := s.jobKeyInst(sub)
 			if err != nil {
-				finishInstance(it, nil, fmt.Errorf("building instance: %w", err))
+				finishInstance(i, nil, fmt.Errorf("building instance: %w", err))
 				continue
 			}
 			it.key, it.inst = key, inst
@@ -117,7 +82,7 @@ func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit fu
 				sum.NumEvents += cached.NumEvents
 				sum.NumVars += cached.NumVars
 				cached.CacheHit = true
-				finishInstance(it, cached, nil)
+				finishInstance(i, cached, nil)
 				continue
 			}
 			if leader, ok := leaderByKey[it.key]; ok {
@@ -138,7 +103,7 @@ func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit fu
 				if s.cacheable(sub) {
 					delete(leaderByKey, it.key)
 				}
-				finishInstance(it, nil, fmt.Errorf("building instance: %w", err))
+				finishInstance(i, nil, fmt.Errorf("building instance: %w", err))
 				continue
 			}
 			it.inst = inst
@@ -149,108 +114,42 @@ func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit fu
 	}
 	psp.End()
 
-	// Phase 2: group the misses and run each group as one packed engine
-	// run (or per-instance for the LOCAL algorithms). Groups run
-	// sequentially so their round streams do not interleave.
-	groups := make(map[groupKey][]*batchItem)
-	var order []groupKey
-	for _, it := range leaders {
-		if _, ok := groups[it.pkey]; !ok {
-			order = append(order, it.pkey)
-		}
-		groups[it.pkey] = append(groups[it.pkey], it)
-	}
-
+	// Phase 2: run the misses one by one, so their round streams do not
+	// interleave. Only cacheable items have followers, so a follower of a
+	// completed leader is served the result the leader just stored.
 	complete := func(it *batchItem, isum *Summary, err error) {
-		stored := err == nil && isum != nil && !isum.Partial && s.cacheable(it.spec)
-		if stored {
+		if err == nil && s.cacheable(it.spec) {
 			s.cache.put(it.key, isum)
 		}
-		finishInstance(it, isum, err)
+		finishInstance(it.idx, isum, err)
 		for _, f := range followers[it.key] {
 			if err != nil {
-				finishInstance(f, nil, err)
+				finishInstance(f.idx, nil, err)
 				continue
 			}
-			// A follower is a cache hit only if the leader's result actually
-			// went into the cache; a partial result (cancelled mid-run) fans
-			// out as a plain copy.
 			dup := cloneSummary(isum)
-			dup.CacheHit = stored
-			finishInstance(f, dup, nil)
+			dup.CacheHit = true
+			finishInstance(f.idx, dup, nil)
 		}
 	}
-
-	var runErr error
-	onRound := func(rs engine.RoundStats) {
-		emit(Event{
-			Kind: "round", Round: rs.Round, Steps: rs.Steps,
-			Messages: rs.Messages, Active: rs.Active, Halted: rs.Halted,
-			Dropped: rs.Dropped, Crashed: rs.Crashed,
-		})
-	}
-	for _, gk := range order {
-		items := groups[gk]
+	for _, it := range leaders {
 		if runErr != nil {
 			break
 		}
-		// Each packing group gets its own sibling span; gctx parents the
-		// group's packed (or solo) runs to it.
-		gsp, gctx := s.cfg.Trace.StartSpan(ctx, "batch_group:"+gk.alg)
-		if !packable(gk.alg) {
-			for _, it := range items {
-				isum, err := s.runSolo(gctx, it, att, emit)
-				complete(it, isum, err)
-				if err != nil && ctx.Err() != nil {
-					runErr = err
-					break
-				}
-			}
-			gsp.End()
-			continue
-		}
-		insts := make([]*model.Instance, len(items))
-		seeds := make([]uint64, len(items))
-		for i, it := range items {
-			insts[i] = it.inst
-			seeds[i] = it.spec.Seed
-		}
-		packed := batch.Pack(insts)
-		opts := batch.Options{
-			Ctx:            gctx,
-			Pool:           pool,
-			MaxRounds:      gk.maxRounds,
-			MaxResamplings: gk.maxResamplings,
-			OnRound:        onRound,
-			Metrics:        s.cfg.Metrics,
-		}
-		var results []batch.Result
-		var err error
-		switch gk.alg {
-		case AlgMTPar:
-			results, err = batch.RunParallelMT(packed, seeds, opts)
-		case AlgMTSeq:
-			results, err = batch.RunSequentialMT(packed, seeds, opts)
-		case AlgOneShot:
-			results, err = batch.RunOneShot(packed, seeds, opts)
-		case AlgSeq:
-			results, err = batch.RunFixSequential(packed, opts)
-		}
-		if err != nil {
+		isum, err := s.runSolo(ctx, js.Workers, it, att, emit)
+		complete(it, isum, err)
+		if err != nil && ctx.Err() != nil {
 			runErr = err
 		}
-		for i, it := range items {
-			if results == nil {
-				complete(it, nil, err)
-				continue
+	}
+	// Members the cancellation stopped before they ran, and their in-batch
+	// duplicates, end with the context error.
+	if runErr != nil {
+		for i, done := range ended {
+			if !done {
+				finishInstance(i, nil, ctx.Err())
 			}
-			isum := packedSummary(it, results[i])
-			if err != nil {
-				isum.Partial = true
-			}
-			complete(it, isum, results[i].Err)
 		}
-		gsp.End()
 	}
 
 	// Aggregate. ViolatedEvents stays -1 (unknown) only if no instance
@@ -274,35 +173,22 @@ func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit fu
 	return sum, runErr
 }
 
-// runSolo executes one non-packable batch instance through the ordinary
-// single-job path, tagging its round events with the instance id. The batch
-// job's real attempt number is carried through so fault injection derives a
-// fresh pattern on every batch retry, like solo jobs; per-instance
-// checkpoints are dropped (the batch job record holds no sub-job state).
-func (s *Service) runSolo(ctx context.Context, it *batchItem, att Attempt, emit func(Event)) (*Summary, error) {
+// runSolo executes one batch instance through the ordinary single-job
+// path on the instance the batch built, tagging its events with the
+// instance id. A member that sets no Workers runs with the batch job's.
+// The batch job's real attempt number is carried through so fault
+// injection derives a fresh pattern on every batch retry, like solo jobs;
+// per-instance checkpoints are dropped (the batch job record holds no
+// sub-job state).
+func (s *Service) runSolo(ctx context.Context, workers int, it *batchItem, att Attempt, emit func(Event)) (*Summary, error) {
 	taggedEmit := func(e Event) {
 		e.Instance = it.idx + 1
 		emit(e)
 	}
-	subAtt := Attempt{Number: att.Number, SaveCheckpoint: func(*fault.Checkpoint) {}}
-	return RunSpec(ctx, it.spec, subAtt, taggedEmit, s.runOpts)
-}
-
-// packedSummary converts one packed batch.Result into the Summary the solo
-// path would have produced for the same spec, field for field — that
-// equivalence is what lets batch-written cache entries serve solo jobs.
-func packedSummary(it *batchItem, r batch.Result) *Summary {
-	isum := &Summary{
-		Algorithm:      it.spec.Algorithm,
-		Family:         it.spec.Family,
-		NumEvents:      it.inst.NumEvents(),
-		NumVars:        it.inst.NumVars(),
-		Satisfied:      r.Satisfied,
-		ViolatedEvents: r.ViolatedEvents,
-		Rounds:         r.Rounds,
-		Resamplings:    r.Resamplings,
-		VarsFixed:      r.VarsFixed,
-		AssignmentHash: assignmentHash(r.Assignment),
+	js := it.spec
+	if js.Workers == 0 {
+		js.Workers = workers
 	}
-	return isum
+	subAtt := Attempt{Number: att.Number, SaveCheckpoint: func(*fault.Checkpoint) {}}
+	return runInstance(ctx, js, it.inst, subAtt, taggedEmit, s.runOpts)
 }

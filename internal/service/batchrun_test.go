@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,8 +14,9 @@ func batchOf(cache bool, subs ...JobSpec) JobSpec {
 }
 
 // TestBatchMatchesSolo: every instance of a batch job reports exactly the
-// counters the solo path produces for the same spec — the packed execution
-// is observationally identical to one job per instance.
+// counters the solo path produces for the same spec, for every algorithm —
+// the batch execution is observationally identical to one job per
+// instance.
 func TestBatchMatchesSolo(t *testing.T) {
 	s := realService(t, obs.NewRegistry(), 0) // no cache: pure execution equality
 
@@ -24,7 +26,8 @@ func TestBatchMatchesSolo(t *testing.T) {
 		{Family: FamilySinkless, N: 16, Algorithm: AlgMTSeq, Seed: 7},
 		{Family: FamilySinkless, N: 16, Algorithm: AlgSeq, Seed: 1},
 		{Family: FamilyHyper, N: 18, Algorithm: AlgOneShot, Seed: 8},
-		{Family: FamilySinkless, N: 12, Algorithm: AlgDist, Seed: 9}, // LOCAL: solo fallback inside the batch
+		{Family: FamilySinkless, N: 12, Algorithm: AlgDist, Seed: 9},
+		{Family: FamilySinkless, N: 12, Algorithm: AlgMTDist, Seed: 10},
 	}
 	solo := make([]*Summary, len(subs))
 	for i, sub := range subs {
@@ -78,8 +81,8 @@ func TestBatchInBatchDedup(t *testing.T) {
 	if hits != 2 {
 		t.Fatalf("%d of 3 identical instances were dedup hits, want 2", hits)
 	}
-	if got := reg.Counter("batch_instances_total").Value(); got != 1 {
-		t.Errorf("batch_instances_total = %d, want 1 (only the leader packs)", got)
+	if got := reg.Counter("cache_stores_total").Value(); got != 1 {
+		t.Errorf("cache_stores_total = %d, want 1 (only the leader solves)", got)
 	}
 }
 
@@ -157,6 +160,63 @@ func TestBatchEvents(t *testing.T) {
 	}
 	if rounds == 0 {
 		t.Error("batch job emitted no round events")
+	}
+}
+
+// TestBatchCancelEndsEveryInstance: cancelling a batch mid-run still ends
+// every member exactly once — the running one, the ones that never started
+// and their in-batch duplicates — and the members that did not complete
+// carry the cancellation as their error.
+func TestBatchCancelEndsEveryInstance(t *testing.T) {
+	s := realService(t, obs.NewRegistry(), 8)
+
+	var subs []JobSpec
+	for range 2 {
+		for seed := uint64(1); seed <= 3; seed++ {
+			subs = append(subs, JobSpec{Family: FamilySinkless, N: 1024, Algorithm: AlgDist, Seed: seed})
+		}
+	}
+	j, err := s.Submit(batchOf(true, subs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cancel as soon as the first member streams a round.
+	for from, started := 0, false; !started; {
+		events, more, state := j.EventsSince(from)
+		from += len(events)
+		for _, e := range events {
+			started = started || e.Kind == "round"
+		}
+		if !started {
+			if state.Terminal() {
+				t.Fatalf("batch finished in state %q before it streamed a round", state)
+			}
+			<-more
+		}
+	}
+	if _, err := s.Cancel(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j, StateCancelled)
+
+	events, _, _ := j.EventsSince(0)
+	ends := make(map[int]int)
+	for _, e := range events {
+		if e.Kind == "instance_end" {
+			ends[e.Instance]++
+		}
+	}
+	for i := 1; i <= len(subs); i++ {
+		if ends[i] != 1 {
+			t.Errorf("instance %d has %d instance_end events, want 1", i, ends[i])
+		}
+	}
+	sum := j.View().Result
+	if sum == nil || len(sum.Instances) != len(subs) {
+		t.Fatalf("cancelled batch result = %+v, want %d instance summaries", sum, len(subs))
+	}
+	if last := sum.Instances[len(subs)-1]; !strings.Contains(last.Err, context.Canceled.Error()) {
+		t.Errorf("last instance err = %q, want the cancellation", last.Err)
 	}
 }
 

@@ -112,7 +112,7 @@ func (k *keyMemo) put(id string, key uint64) {
 // nil) — this is what makes a warm cache hit orders of magnitude cheaper
 // than a solve. On a miss the instance is built and canonically hashed;
 // the built instance is returned so callers that need it anyway (the batch
-// packer) do not build twice.
+// runner) do not build twice.
 func (s *Service) jobKeyInst(js JobSpec) (key uint64, inst *model.Instance, err error) {
 	id := specIdent(js)
 	if id != "" {

@@ -74,9 +74,9 @@ type Event struct {
 	Halted   int `json:"halted,omitempty"`
 	Dropped  int `json:"dropped,omitempty"`
 	Crashed  int `json:"crashed,omitempty"`
-	// Instance is the 1-based batch instance id of an "instance_end"
-	// event; the NDJSON stream of a batch job is multiplexed over it
-	// (0 = a job-level event).
+	// Instance is the 1-based batch instance id of a batch job's "round"
+	// and "instance_end" events; the NDJSON stream of a batch job is
+	// multiplexed over it (0 = a job-level event).
 	Instance int `json:"instance,omitempty"`
 	// CacheHit marks a "cache_hit" or "instance_end" event served from the
 	// canonical result cache instead of a fresh solve.
@@ -327,7 +327,7 @@ func (j *Job) begin(parent context.Context) (ctx context.Context, attempt int, c
 	} else {
 		ctx, j.cancel = context.WithCancel(parent)
 	}
-	// Every layer below — the runner, the batch packer, local.Run, the
+	// Every layer below — the runner, the batch runner, local.Run, the
 	// resamplers — reads the trace from this context and tags its events.
 	ctx = obs.WithTrace(ctx, obs.TraceContext{Trace: j.TraceID, Job: j.ID})
 	j.state = StateRunning

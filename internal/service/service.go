@@ -311,8 +311,8 @@ func New(cfg Config) *Service {
 			return RunSpec(ctx, js, att, emit, s.runOpts)
 		}
 	}
-	// The dispatch wrapper routes batch jobs to the packed batch runner
-	// and cache-enabled jobs through the result cache + single-flight
+	// The dispatch wrapper routes batch jobs to the batch runner and
+	// cache-enabled jobs through the result cache + single-flight
 	// layer; everything else hits the configured runner directly.
 	s.runner = func(ctx context.Context, js JobSpec, att Attempt, emit func(Event)) (*Summary, error) {
 		if len(js.Batch) > 0 {

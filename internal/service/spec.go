@@ -164,12 +164,13 @@ type JobSpec struct {
 	BatchGroup string `json:"batch_group,omitempty"`
 	// Batch turns the job into a multi-instance batch: every entry is a
 	// full JobSpec (nested batches are rejected) and the job runs them all,
-	// packing instances that share an algorithm into single engine runs
-	// (see internal/batch). The top-level instance/algorithm fields are
-	// ignored; Workers, TimeoutMS, retry and fault fields still apply to
-	// the batch job as a whole, and Cache applies per instance. Results
-	// arrive in Summary.Instances, and the event stream is multiplexed by
-	// the 1-based Event.Instance id.
+	// one at a time, each exactly as a solo job with its spec would run;
+	// identical cacheable instances solve once. The top-level
+	// instance/algorithm fields are ignored; TimeoutMS, retry and fault
+	// fields still apply to the batch job as a whole, Workers is the
+	// default of every instance that sets none, and Cache applies per
+	// instance. Results arrive in Summary.Instances, and the event stream
+	// is multiplexed by the 1-based Event.Instance id.
 	Batch []JobSpec `json:"batch,omitempty"`
 }
 
@@ -434,18 +435,7 @@ type RunOptions struct {
 }
 
 // RunSpec is the Service's default Runner: it builds the spec's instance
-// and executes the chosen algorithm under ctx, emitting one "round" event
-// per LOCAL/parallel round and returning the (possibly partial) Summary.
-//
-// The attempt wires the recovery machinery: when the spec requests
-// checkpointing, the runtime's periodic snapshots flow into
-// att.SaveCheckpoint and att.Checkpoint (from a previous attempt) resumes
-// the run — seq, mtseq and mtpar support this; the LOCAL-model algorithms
-// (dist, mtdist) hold their state per simulated node and always restart.
-// Fault injection resolves as opts.Fault merged with the job's plan, seeded
-// (in priority order) by the job's fault_seed, the daemon seed, or the
-// job's own seed — then mixed with the attempt number, so every retry draws
-// an independent fault pattern.
+// and executes the chosen algorithm on it (runInstance).
 func RunSpec(ctx context.Context, js JobSpec, att Attempt, emit func(Event), opts RunOptions) (*Summary, error) {
 	js, err := js.withDefaults()
 	if err != nil {
@@ -457,6 +447,25 @@ func RunSpec(ctx context.Context, js JobSpec, att Attempt, emit func(Event), opt
 	if err != nil {
 		return nil, fmt.Errorf("building instance: %w", err)
 	}
+	return runInstance(ctx, js, inst, att, emit, opts)
+}
+
+// runInstance executes the normalized spec's algorithm on inst, the
+// instance built from js, under ctx, emitting one "round" event per
+// LOCAL/parallel round and returning the (possibly partial) Summary. Solo
+// jobs reach it through RunSpec; batch members through runSolo, on the
+// instance the batch already built.
+//
+// The attempt wires the recovery machinery: when the spec requests
+// checkpointing, the runtime's periodic snapshots flow into
+// att.SaveCheckpoint and att.Checkpoint (from a previous attempt) resumes
+// the run — seq, mtseq and mtpar support this; the LOCAL-model algorithms
+// (dist, mtdist) hold their state per simulated node and always restart.
+// Fault injection resolves as opts.Fault merged with the job's plan, seeded
+// (in priority order) by the job's fault_seed, the daemon seed, or the
+// job's own seed — then mixed with the attempt number, so every retry draws
+// an independent fault pattern.
+func runInstance(ctx context.Context, js JobSpec, inst *model.Instance, att Attempt, emit func(Event), opts RunOptions) (*Summary, error) {
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
 	}
